@@ -21,7 +21,11 @@ kernels here replace exactly those hot loops:
   composition kernels of :mod:`repro.model.constraints`
   (``docs/SCENARIOS.md``): per-station line-of-sight occlusion against a
   segment set, and the per-customer top-``k`` nearest-reaching-station
-  membership mask, both bit-identical to the scalar per-pair primitives.
+  membership mask, both bit-identical to the scalar per-pair primitives;
+* :func:`fill_pass` — the fill move of the angle local search
+  (:mod:`repro.packing.local_search`): arc membership and the initial
+  capacity test of every unserved customer in one vectorized pass, then
+  the first-fit replay over the few customers that survive both.
 
 **Contract** (``docs/BACKENDS.md``): the pure-python path is the oracle.
 Every kernel is either *bit-identical* to the scalar loop it replaces
@@ -39,6 +43,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.geometry.angles import angles_in_window
 from repro.numerics import FIT_SLACK, fits
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "nearest_reaching_station",
     "los_blocked",
     "topk_station_mask",
+    "fill_pass",
 ]
 
 #: The valid values of every ``backend`` knob (requests additionally
@@ -332,3 +338,70 @@ def topk_station_mask(
             sub[rows, cols] = np.inf
         mask[:, hard] = picked
     return mask
+
+
+def fill_pass(
+    thetas: np.ndarray,
+    demands: np.ndarray,
+    profits: np.ndarray,
+    assignment: np.ndarray,
+    starts: np.ndarray,
+    widths: np.ndarray,
+    capacities: np.ndarray,
+) -> bool:
+    """First-fit of unserved customers into covering antennas with slack.
+
+    ``assignment`` (``-1`` = unserved) is updated in place; returns True
+    if anything changed.  Antenna ``j`` is the closed arc ``[starts[j],
+    starts[j] + widths[j]]`` (``starts`` normalized, ``widths`` capped at
+    ``2*pi``, as :class:`~repro.geometry.arcs.Arc` stores them) with
+    capacity ``capacities[j]``.
+
+    Bit-identical to the scalar oracle
+    :func:`repro.packing.local_search._fill_pass`:
+
+    * loads come from the same ``np.add.at`` over the served customers,
+      candidates from the same stable ``-density`` argsort;
+    * arc membership is :func:`~repro.geometry.angles.angles_in_window`,
+      the vectorized form of ``Arc.contains`` (``ccw_deltas(start,
+      theta) <= width + _EPS_WRAP``, full-circle arcs cover everything);
+    * a candidate whose demand does not fit an antenna's *initial* load
+      never fits it later (demands are positive, so loads only grow and
+      :func:`~repro.numerics.fits` is monotone), so the replay skips
+      every (customer, antenna) pair failing membership or that initial
+      test — candidates no antenna passes are dropped entirely;
+    * the survivors replay the scalar loop: density order, antennas in
+      index order, the same ``fits(loads[j] + d, cap)`` float sequence.
+    """
+    k = len(starts)
+    served = assignment >= 0
+    loads = np.zeros(k)
+    np.add.at(loads, assignment[served], demands[served])
+    unserved = np.flatnonzero(~served)
+    density = profits[unserved] / demands[unserved]
+    cand = unserved[np.argsort(-density, kind="stable")]
+    cand_thetas = thetas[cand]
+    cand_demands = demands[cand]
+    ok = np.empty((k, cand.size), dtype=bool)
+    for j in range(k):
+        ok[j] = angles_in_window(
+            cand_thetas, float(starts[j]), float(widths[j])
+        )
+        ok[j] &= fits(loads[j] + cand_demands, float(capacities[j]))
+    keep = np.flatnonzero(ok.any(axis=0))
+    if keep.size == 0:
+        return False
+    loads_f = loads.tolist()
+    caps = [float(c) for c in capacities]
+    taken_i, taken_j = [], []
+    for i, d, row in zip(
+        cand[keep].tolist(), cand_demands[keep].tolist(), ok[:, keep].T.tolist()
+    ):
+        for j, covered in enumerate(row):
+            if covered and fits(loads_f[j] + d, caps[j]):
+                taken_i.append(i)
+                taken_j.append(j)
+                loads_f[j] += d
+                break
+    assignment[taken_i] = taken_j
+    return bool(taken_i)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.knapsack.api import KnapsackResult, _as_arrays
+from repro.numerics import is_integral
 from repro.obs.metrics import get_registry
 from repro.resilience.budget import tick_nodes as _budget_tick
 
@@ -29,10 +30,6 @@ _DISPATCH_PROFIT_DP = _REG.counter("oracle.dispatch.profit_dp")
 _DISPATCH_BB = _REG.counter("oracle.dispatch.branch_bound")
 
 
-def _is_integral(arr: np.ndarray) -> bool:
-    return bool(np.allclose(arr, np.round(arr), atol=1e-9))
-
-
 def solve_exact_integer(weights, profits, capacity: float) -> KnapsackResult:
     """Optimal solution for integral weights via capacity DP.
 
@@ -44,7 +41,7 @@ def solve_exact_integer(weights, profits, capacity: float) -> KnapsackResult:
     the safety cap.
     """
     w, p = _as_arrays(weights, profits)
-    if not _is_integral(w):
+    if not is_integral(w):
         raise ValueError("solve_exact_integer requires integral weights")
     cap = int(np.floor(capacity + 1e-9))
     n = w.size
@@ -97,12 +94,12 @@ def solve_exact_auto(weights, profits, capacity: float) -> KnapsackResult:
     cap_int = int(np.floor(capacity + 1e-9))
     if (
         w.size
-        and _is_integral(w)
+        and is_integral(w)
         and (w.size + 1) * (cap_int + 1) <= _MAX_DP_CELLS
     ):
         _DISPATCH_INT_DP.inc()
         return solve_exact_integer(w, p, capacity)
-    if w.size and _is_integral(p):
+    if w.size and is_integral(p):
         from repro.knapsack.profit_dp import _MAX_DP_CELLS as _P_CELLS
         from repro.knapsack.profit_dp import solve_exact_by_profit
 

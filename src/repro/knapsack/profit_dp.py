@@ -13,13 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.knapsack.api import KnapsackResult, _as_arrays
+from repro.numerics import is_integral
 
 #: Safety cap on DP cells (items x profit columns).
 _MAX_DP_CELLS = 50_000_000
-
-
-def _is_integral(arr: np.ndarray) -> bool:
-    return bool(np.allclose(arr, np.round(arr), atol=1e-9))
 
 
 def solve_exact_by_profit(weights, profits, capacity: float) -> KnapsackResult:
@@ -31,7 +28,7 @@ def solve_exact_by_profit(weights, profits, capacity: float) -> KnapsackResult:
     ``ValueError`` on non-integral profits or an oversized table.
     """
     w, p = _as_arrays(weights, profits)
-    if not _is_integral(p):
+    if not is_integral(p):
         raise ValueError("solve_exact_by_profit requires integral profits")
     cap = max(0.0, float(capacity))
     n = w.size

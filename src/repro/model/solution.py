@@ -372,8 +372,16 @@ class SectorSolution:
                 )
         if instance.constraints:
             # Constraint feasibility (docs/SCENARIOS.md): every served
-            # (customer, station) pair must pass the composed masks.
-            cmasks = instance.compile().constraint_masks()
+            # (customer, station) pair must pass the composed masks.  They
+            # are composed by the bit-identical numpy kernels on a
+            # throwaway view: instance.compile() would memoize an
+            # instance <-> view reference cycle on parents the
+            # partitioner deliberately never compiles.
+            from repro.core.compiled import compile_instance
+
+            cmasks = compile_instance(instance).constraint_masks(
+                backend="numpy"
+            )
             if cmasks is not None:
                 for g, s_id, _spec in instance.antenna_table():
                     members = np.flatnonzero(self.assignment == g)

@@ -20,7 +20,9 @@ boundaries.  This module is the single source of truth:
   selection a solver admits is always accepted by every verifier: the two
   bands can never disagree about a solution's feasibility.
 * :func:`ceil_units` — ceil-with-slack for "how many capacity units",
-  immune to ``total/unit`` landing one ulp above an exact integer.
+  immune to ``total/unit`` landing one ulp above an exact integer;
+* :func:`is_integral` — the absolute-only integrality test that admits
+  weights/profits into the exact oracles' integer DPs.
 
 The constants are part of the repo's numeric contract: tightening
 ``FIT_SLACK`` or loosening ``VERIFY_RTOL`` is safe; the reverse risks a
@@ -31,7 +33,12 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["FIT_SLACK", "VERIFY_RTOL", "fits", "overloads", "ceil_units"]
+import numpy as np
+
+__all__ = [
+    "FIT_SLACK", "VERIFY_RTOL", "fits", "overloads", "ceil_units",
+    "is_integral",
+]
 
 #: Solver-side admission slack (relative, floored at absolute 1e-12).
 FIT_SLACK = 1e-12
@@ -87,3 +94,19 @@ def ceil_units(total: float, unit: float, slack: float = VERIFY_RTOL) -> int:
     4
     """
     return int(math.ceil(total / unit - slack))
+
+
+def is_integral(values) -> bool:
+    """True iff every value is within ``1e-9`` of an integer.
+
+    Purely absolute (``rtol=0``): a relative band would call ``2.00001``
+    integral, and an exact DP that rounds it to ``2`` returns a wrong
+    optimum.
+
+    >>> is_integral([1.0, 2.0 + 1e-12, 3.0])
+    True
+    >>> is_integral([2.00001, 1.0])
+    False
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    return bool(np.allclose(arr, np.round(arr), rtol=0.0, atol=1e-9))

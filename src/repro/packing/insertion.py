@@ -108,7 +108,8 @@ def solve_insertion(
         taken[fresh] = True
         orientations[j] = float(starts[a])
     if boundary_fill:
-        from repro.packing.local_search import fill_active_antennas
+        from repro.packing.local_search import _fill_pass
 
-        fill_active_antennas(instance, orientations, assignment)
+        active = np.unique(assignment[assignment >= 0])
+        _fill_pass(instance, orientations, assignment, antennas=active)
     return AngleSolution(orientations=orientations, assignment=assignment)

@@ -15,80 +15,59 @@ rounding (experiment E5 measures its contribution).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
+from repro.core.backend import fill_pass
 from repro.geometry.arcs import Arc
 from repro.knapsack.api import KnapsackSolver
 from repro.model.instance import AngleInstance
 from repro.model.solution import AngleSolution
 from repro.numerics import fits
+from repro.obs.metrics import get_registry
 from repro.packing.single import best_rotation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiled import CompiledAngleInstance
+
+# Wall time inside improve_solution, rotation searches included
+# (contract: docs/OBSERVABILITY.md).
+_LS_TIMER = get_registry().timer("phase.local_search")
 
 
 def _fill_pass(
     instance: AngleInstance,
     orientations: np.ndarray,
     assignment: np.ndarray,
+    antennas: Optional[Iterable[int]] = None,
 ) -> bool:
     """Insert unserved customers into any covering antenna with slack.
 
     Customers are tried in decreasing profit density (profit per unit
-    demand) so the slack is spent where it pays most.  Returns True if
-    anything changed.
+    demand) so the slack is spent where it pays most, each into the first
+    covering antenna (index order) it fits.  ``antennas`` restricts the
+    pass to a subset of antenna indices (default: all).  The disjoint-
+    variant solvers pass their *active* antennas after assembly: their
+    profit tables use half-open windows (to avoid double counting across
+    abutting windows), so a customer sitting exactly at an active arc's
+    closed end may be left unserved even though serving it is feasible,
+    and filling only active antennas keeps the disjointness invariant
+    intact (idle parked arcs never start radiating).  In-place,
+    value-monotone; returns True if anything changed.
+
+    This scalar loop is the oracle of the numpy kernel
+    :func:`repro.core.backend.fill_pass`.
     """
     changed = False
     loads = np.zeros(instance.k)
     served = assignment >= 0
     np.add.at(loads, assignment[served], instance.demands[served])
-    arcs = [
-        Arc(float(orientations[j]), instance.antennas[j].rho)
-        for j in range(instance.k)
-    ]
-    unserved = np.flatnonzero(~served)
-    density = instance.profits[unserved] / instance.demands[unserved]
-    for i in unserved[np.argsort(-density, kind="stable")]:
-        for j in range(instance.k):
-            cap = instance.antennas[j].capacity
-            if (
-                fits(loads[j] + instance.demands[i], cap)
-                and arcs[j].contains(float(instance.thetas[i]))
-            ):
-                assignment[i] = j
-                loads[j] += instance.demands[i]
-                changed = True
-                break
-    return changed
-
-
-def fill_active_antennas(
-    instance: AngleInstance,
-    orientations: np.ndarray,
-    assignment: np.ndarray,
-) -> None:
-    """Fill pass restricted to antennas already serving somebody.
-
-    Used by the disjoint-variant solvers after assembly: their profit
-    tables use half-open windows (to avoid double counting across abutting
-    windows), so a customer sitting exactly at an active arc's closed end
-    may be left unserved even though serving it is feasible.  Filling only
-    *active* antennas keeps the disjointness invariant intact (idle parked
-    arcs never start radiating).  In-place, value-monotone.
-    """
-    active = np.zeros(instance.k, dtype=bool)
-    served = assignment >= 0
-    active[np.unique(assignment[served])] = True
-    if not active.any():
-        return
-    loads = np.zeros(instance.k)
-    np.add.at(loads, assignment[served], instance.demands[served])
+    if antennas is None:
+        antennas = range(instance.k)
     arcs = {
-        j: Arc(float(orientations[j]), instance.antennas[j].rho)
-        for j in np.flatnonzero(active)
+        int(j): Arc(float(orientations[j]), instance.antennas[j].rho)
+        for j in antennas
     }
     unserved = np.flatnonzero(~served)
     density = instance.profits[unserved] / instance.demands[unserved]
@@ -101,7 +80,33 @@ def fill_active_antennas(
             ):
                 assignment[i] = j
                 loads[j] += instance.demands[i]
+                changed = True
                 break
+    return changed
+
+
+def _fill(
+    instance: AngleInstance,
+    orientations: np.ndarray,
+    assignment: np.ndarray,
+    backend: str,
+) -> bool:
+    """The fill move on the requested backend (in place; True if changed)."""
+    if backend != "numpy":
+        return _fill_pass(instance, orientations, assignment)
+    arcs = [
+        Arc(float(orientations[j]), spec.rho)
+        for j, spec in enumerate(instance.antennas)
+    ]
+    return fill_pass(
+        instance.thetas,
+        instance.demands,
+        instance.profits,
+        assignment,
+        np.array([arc.start for arc in arcs]),
+        np.array([arc.width for arc in arcs]),
+        np.array([spec.capacity for spec in instance.antennas]),
+    )
 
 
 def improve_solution(
@@ -119,44 +124,50 @@ def improve_solution(
     improvement.  ``compiled`` is the shared precomputation view (defaults
     to ``instance.compile()``); the re-rotation move derives its subset
     sweeps from it instead of re-sorting per candidate antenna.
-    ``backend`` selects the rotation-scan implementation of the
-    re-rotation move (see :func:`~repro.packing.single.best_rotation`).
+    ``backend`` selects the fill move's implementation (the bit-identical
+    :func:`~repro.core.backend.fill_pass` kernel on ``"numpy"``) and the
+    rotation-scan implementation of the re-rotation move (see
+    :func:`~repro.packing.single.best_rotation`).  Timed under
+    ``phase.local_search``.
     """
-    compiled = instance.compile() if compiled is None else compiled
-    orientations = solution.orientations.copy()
-    assignment = solution.assignment.copy()
-    best_value = float(instance.profits[assignment >= 0].sum())
+    with _LS_TIMER.time():
+        compiled = instance.compile() if compiled is None else compiled
+        orientations = solution.orientations.copy()
+        assignment = solution.assignment.copy()
+        best_value = float(instance.profits[assignment >= 0].sum())
 
-    for _ in range(max_rounds):
-        improved = False
-        if _fill_pass(instance, orientations, assignment):
-            new_value = float(instance.profits[assignment >= 0].sum())
-            improved = new_value > best_value + 1e-12
-            best_value = max(best_value, new_value)
-        for j in range(instance.k):
-            # Customers available to antenna j: unserved ones + its own.
-            available = (assignment == -1) | (assignment == j)
-            idx = np.flatnonzero(available)
-            if idx.size == 0:
-                continue
-            spec = instance.antennas[j]
-            out = best_rotation(
-                instance.thetas[idx],
-                instance.demands[idx],
-                instance.profits[idx],
-                spec,
-                oracle,
-                sweep=compiled.subset_sweep(idx, spec.rho),
-                backend=backend,
-            )
-            current_j_value = float(instance.profits[assignment == j].sum())
-            if out.value > current_j_value + 1e-12:
-                assignment[assignment == j] = -1
-                chosen = idx[out.selected]
-                assignment[chosen] = j
-                orientations[j] = out.alpha
-                best_value += out.value - current_j_value
-                improved = True
-        if not improved:
-            break
-    return AngleSolution(orientations=orientations, assignment=assignment)
+        for _ in range(max_rounds):
+            improved = False
+            if _fill(instance, orientations, assignment, backend):
+                new_value = float(instance.profits[assignment >= 0].sum())
+                improved = new_value > best_value + 1e-12
+                best_value = max(best_value, new_value)
+            for j in range(instance.k):
+                # Customers available to antenna j: unserved ones + its own.
+                available = (assignment == -1) | (assignment == j)
+                idx = np.flatnonzero(available)
+                if idx.size == 0:
+                    continue
+                spec = instance.antennas[j]
+                out = best_rotation(
+                    instance.thetas[idx],
+                    instance.demands[idx],
+                    instance.profits[idx],
+                    spec,
+                    oracle,
+                    sweep=compiled.subset_sweep(idx, spec.rho),
+                    backend=backend,
+                )
+                current_j_value = float(
+                    instance.profits[assignment == j].sum()
+                )
+                if out.value > current_j_value + 1e-12:
+                    assignment[assignment == j] = -1
+                    chosen = idx[out.selected]
+                    assignment[chosen] = j
+                    orientations[j] = out.alpha
+                    best_value += out.value - current_j_value
+                    improved = True
+            if not improved:
+                break
+        return AngleSolution(orientations=orientations, assignment=assignment)

@@ -317,9 +317,10 @@ def solve_non_overlapping_dp(
         if boundary_fill:
             # Recover customers on the closed ends of active arcs that the
             # half-open profit tables deliberately excluded (module docstring).
-            from repro.packing.local_search import fill_active_antennas
+            from repro.packing.local_search import _fill_pass
 
-            fill_active_antennas(instance, orientations, assignment)
+            active = np.unique(assignment[assignment >= 0])
+            _fill_pass(instance, orientations, assignment, antennas=active)
         _DP_ASSEMBLE.observe(time.perf_counter() - t_assemble)
         _DP_TIMER.observe(time.perf_counter() - t_solve)
         sp.set(value=float(best_total), placements=len(best_placements))

@@ -159,9 +159,10 @@ def solve_shifting(
             taken[fresh] = True
             orientations[j] = starts[a]
         if boundary_fill:
-            from repro.packing.local_search import fill_active_antennas
+            from repro.packing.local_search import _fill_pass
 
-            fill_active_antennas(instance, orientations, assignment)
+            active = np.unique(assignment[assignment >= 0])
+            _fill_pass(instance, orientations, assignment, antennas=active)
         _SH_TIMER.observe(time.perf_counter() - t_solve)
         sp.set(windows=int(ids.size), value=float(best_value))
     return AngleSolution(orientations=orientations, assignment=assignment)

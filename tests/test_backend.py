@@ -5,8 +5,8 @@ Four families of guarantees frozen here:
 * **kernel identity** — each kernel in :mod:`repro.core.backend` matches
   the scalar loop it replaces, at the identity class its docstring
   claims: bit-identical for `batched_station_polar` /
-  `nearest_reaching_station`, accept-set / value-identical for
-  `greedy_prefix_mask` and `rotation_scan`;
+  `nearest_reaching_station` / `fill_pass`, accept-set / value-identical
+  for `greedy_prefix_mask` and `rotation_scan`;
 * **solver identity** — every numpy-capable registered solver returns
   the same objective value under ``backend="python"`` and
   ``backend="numpy"`` through the public engine, on randomized
@@ -23,10 +23,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.backend import (
     AUTO_NUMPY_MIN_N,
     batched_station_polar,
+    fill_pass,
     greedy_prefix_mask,
     nearest_reaching_station,
     normalize_backend,
@@ -34,12 +36,17 @@ from repro.core.backend import (
 )
 from repro.engine import SolveRequest, plan_backend, solve
 from repro.engine.cache import clear_caches
+from repro.geometry.angles import TWO_PI, angles_in_window
+from repro.geometry.arcs import Arc
 from repro.geometry.points import relative_polar
 from repro.geometry.sweep import CircularSweep
 from repro.knapsack.api import _fits
 from repro.knapsack.greedy import solve_greedy
 from repro.model import generators as gen
+from repro.model.antenna import AntennaSpec
+from repro.model.instance import AngleInstance
 from repro.obs.metrics import get_registry
+from repro.packing.local_search import _fill_pass
 
 
 def _counter(name: str) -> int:
@@ -165,6 +172,114 @@ def test_nearest_reaching_station_unreachable_customer():
     assert home[0] == -1 and home[1] == 0
 
 
+# Angles where np.mod and math.fmod could part ways: exact multiples of
+# 2*pi, values a hair either side of them, and negatives.
+_WRAP_ANGLES = [0.0, -0.0, TWO_PI, -TWO_PI, TWO_PI - 1e-13, 1e-13, -1e-13,
+                TWO_PI + 1e-13, 3 * TWO_PI, -2.5 * TWO_PI, math.pi, -math.pi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.one_of(
+        st.sampled_from(_WRAP_ANGLES),
+        st.floats(-4 * TWO_PI, 4 * TWO_PI, allow_nan=False),
+    ),
+    orientation=st.one_of(
+        st.sampled_from(_WRAP_ANGLES),
+        st.floats(-4 * TWO_PI, 4 * TWO_PI, allow_nan=False),
+    ),
+    rho=st.one_of(st.sampled_from([0.0, 1e-13, math.pi, TWO_PI - 1e-13,
+                                   TWO_PI]),
+                  st.floats(0.0, TWO_PI)),
+)
+def test_angles_in_window_matches_arc_contains(theta, orientation, rho):
+    # The fill kernel's membership test (np.mod inside normalize_angles)
+    # against Arc.contains (math.fmod + 2*pi inside normalize_angle).
+    arc = Arc(orientation, rho)
+    for t in (theta, arc.start, arc.end):
+        mask = angles_in_window(np.array([t]), arc.start, arc.width)
+        assert bool(mask[0]) == arc.contains(t)
+
+
+# Demands whose sums land exactly on, a float ulp around, and just past
+# the capacities below (0.1 + 0.2 + 0.3 == 0.6000000000000001).
+_FILL_DEMANDS = [0.1, 0.2, 0.3, 0.25, 0.5, 1.0, 0.5 + 4e-13, 0.5 + 3e-12,
+                 0.7]
+_FILL_CAPS = [0.6, 1.0, 1.0 - 5e-13, 1.0 + 2e-12, 1.5]
+
+
+@st.composite
+def _fill_case(draw):
+    k = draw(st.integers(1, 4))
+    antennas, arcs, orientations = [], [], []
+    for _ in range(k):
+        rho = draw(st.one_of(st.sampled_from([TWO_PI, math.pi / 3, 1.0]),
+                             st.floats(0.05, TWO_PI)))
+        spec = AntennaSpec(rho=rho, capacity=draw(st.sampled_from(_FILL_CAPS)))
+        antennas.append(spec)
+        orientation = draw(st.one_of(st.sampled_from(_WRAP_ANGLES),
+                                     st.floats(-TWO_PI, 2 * TWO_PI)))
+        orientations.append(orientation)
+        arcs.append(Arc(orientation, rho))
+    # Angles exactly at arc starts/ends and at the 2*pi -> 0 wrap, drawn
+    # with replacement so duplicates are common.
+    special = [0.0, TWO_PI - 1e-13, 1e-13, math.pi]
+    special += [a.start for a in arcs] + [a.end for a in arcs]
+    n = draw(st.integers(0, 40))
+    thetas = draw(st.lists(
+        st.one_of(st.sampled_from(special), st.floats(0.0, TWO_PI - 1e-9)),
+        min_size=n, max_size=n,
+    ))
+    demands = draw(st.lists(st.sampled_from(_FILL_DEMANDS),
+                            min_size=n, max_size=n))
+    profits = draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 0.3]),
+                            min_size=n, max_size=n))
+    assignment = draw(st.lists(st.integers(-1, k - 1), min_size=n,
+                               max_size=n))
+    inst = AngleInstance(
+        thetas=np.array(thetas, dtype=np.float64),
+        demands=np.array(demands, dtype=np.float64),
+        profits=np.array(profits, dtype=np.float64),
+        antennas=tuple(antennas),
+    )
+    return inst, np.array(orientations), np.array(assignment, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fill_case())
+def test_fill_pass_bit_identical_to_scalar_oracle(case):
+    inst, orientations, assignment = case
+    expected = assignment.copy()
+    changed = _fill_pass(inst, orientations, expected)
+    arcs = [Arc(float(o), a.rho) for o, a in zip(orientations, inst.antennas)]
+    got = assignment.copy()
+    got_changed = fill_pass(
+        inst.thetas, inst.demands, inst.profits, got,
+        np.array([a.start for a in arcs]), np.array([a.width for a in arcs]),
+        np.array([a.capacity for a in inst.antennas]),
+    )
+    assert got_changed == changed
+    assert np.array_equal(got, expected)
+
+
+def test_fill_pass_full_circle_and_exact_capacity():
+    # Full-circle antenna, three demands summing exactly to capacity:
+    # all fit, in density order; the 4th (lowest density) spills to the
+    # narrow antenna only if it covers the angle.
+    inst = AngleInstance(
+        thetas=np.array([0.0, 3.0, TWO_PI - 1e-13, 1.0]),
+        demands=np.array([0.5, 0.25, 0.25, 0.5]),
+        profits=np.array([2.0, 1.0, 1.0, 0.25]),
+        antennas=(AntennaSpec(rho=TWO_PI, capacity=1.0),
+                  AntennaSpec(rho=0.5, capacity=1.0)),
+    )
+    assignment = np.full(4, -1, dtype=np.int64)
+    assert fill_pass(inst.thetas, inst.demands, inst.profits, assignment,
+                     np.array([0.0, 0.75]), np.array([TWO_PI, 0.5]),
+                     np.array([1.0, 1.0]))
+    assert assignment.tolist() == [0, 0, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # solver identity through the engine
 # ---------------------------------------------------------------------------
@@ -213,6 +328,26 @@ def test_numpy_backend_value_identical(family, algorithm, seed):
         for backend in ("python", "numpy")
     }
     assert reports["python"].value == reports["numpy"].value
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_greedy_ls_assignment_identical_at_auto_threshold(seed):
+    # At n >= AUTO_NUMPY_MIN_N, auto resolves greedy+ls to numpy; the
+    # fill kernel must reproduce the python solve's assignment exactly.
+    inst = gen.uniform_angles(n=AUTO_NUMPY_MIN_N + 500, k=3,
+                              capacity_fraction=0.3, seed=seed)
+    before_np = _counter("engine.backend.numpy")
+    reports = {
+        backend: solve(SolveRequest(
+            instance=inst, family="angle", algorithm="greedy+ls",
+            backend=backend, eps=0.5, use_cache=False,
+        ))
+        for backend in ("python", "auto")
+    }
+    assert _counter("engine.backend.numpy") == before_np + 1
+    assert reports["python"].value == reports["auto"].value
+    assert np.array_equal(reports["python"].solution.assignment,
+                          reports["auto"].solution.assignment)
 
 
 def test_numpy_backend_identical_under_duplicate_angles():

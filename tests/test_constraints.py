@@ -12,7 +12,9 @@ objects), wire round-trips, fingerprint coverage, partition exactness
 under blockage, and per-event delta patching of constraint masks.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from repro.model.serialization import (
     sector_instance_from_dict,
     sector_instance_to_dict,
 )
-from repro.model.solution import FeasibilityError
+from repro.model.solution import FeasibilityError, SectorSolution
 from repro.online.delta import (
     AddCustomer,
     DeltaCompiledInstance,
@@ -418,6 +420,48 @@ class TestPartitionExactness:
         )
         plan = partition_instance(inst)
         assert plan.unreachable == 1
+
+    def test_partitioned_verify_leaves_parent_uncompiled(self):
+        # Verify composes the masks on a throwaway view: no compiled memo
+        # (an instance <-> view cycle) on the parent the partitioner never
+        # compiled, so the parent dies on ``del`` even with gc disabled.
+        def solve_and_forget():
+            inst = scenario_metro_blockage(n=400, towns=4, seed=3)
+            report = solve(SolveRequest(
+                instance=inst, family="sector", algorithm="greedy",
+                eps=0.1, partition="force", use_cache=False,
+            ))
+            assert report.extra.get("strategy") == "partitioned"
+            report.solution.verify(inst)
+            assert "_compiled" not in inst.__dict__
+            return weakref.ref(inst)
+
+        clear_caches()
+        gc.collect()
+        gc.disable()
+        try:
+            ref = solve_and_forget()
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_verify_rejects_masked_pair_on_uncompiled_instance(self):
+        # Customer 0 sits behind the wall of station 0; customer 1 is
+        # capped out of station 2 by its two nearer stations.
+        inst = _overlapping_station_instance(
+            [[-3.0, 0.0], [-1.0, 0.5]],
+            constraints=(LosBlockage(segments=((-2.0, -1.0, -2.0, 1.0),)),
+                         MaxAssignments(limit=2)),
+        )
+        ok = SectorSolution(orientations=np.full(3, math.pi / 2),
+                            assignment=np.array([-1, 0]))
+        assert ok.violations(inst) == []
+        for assignment in ([0, -1], [-1, 2]):
+            bad = SectorSolution(orientations=np.full(3, math.pi / 2),
+                                 assignment=np.array(assignment))
+            problems = bad.violations(inst)
+            assert any("constraint" in p for p in problems)
+        assert "_compiled" not in inst.__dict__
 
     @pytest.mark.parametrize("algorithm", ["greedy", "independent"])
     def test_partitioned_value_matches_monolithic_under_constraints(

@@ -177,6 +177,14 @@ class TestExactAuto:
         r = solve_exact_auto([1.5, 2.5], [2.0, 3.0], 2.6)
         assert r.value == 3.0
 
+    def test_near_integral_profits_not_rounded(self):
+        # 2.00001 is within np.allclose's default rtol of 2; the profit DP
+        # must not see it as integral and round the optimum away.
+        ws, ps, cap = [2.5, 1.0, 1.0, 1.0], [2.00001, 1.0, 1.0, 1.0], 2.75
+        r = solve_exact_auto(ws, ps, cap)
+        assert r.value == 2.00001
+        assert r.value == pytest.approx(brute_force(ws, ps, cap), abs=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(small_instances)
     def test_always_optimal(self, inst):
